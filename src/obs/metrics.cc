@@ -57,16 +57,8 @@ void SetTraceMode(TraceMode mode) {
 
 namespace {
 
-int ExemplarsFromEnv() {
-  const char* env = std::getenv("TRMMA_EXEMPLARS");
-  if (env != nullptr &&
-      (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)) {
-    return 0;
-  }
-  return 1;  // default on: capture is wait-free and a few ns
-}
-
-std::atomic<int> g_exemplars_enabled{ExemplarsFromEnv()};
+// Default on: capture is wait-free and a few ns.
+std::atomic<int> g_exemplars_enabled{1};
 
 }  // namespace
 

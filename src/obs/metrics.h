@@ -44,10 +44,10 @@ void SetTraceMode(TraceMode mode);
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Whether histograms capture exemplars (trace ids attached to recent
-/// observations). Defaults on; TRMMA_EXEMPLARS=0/off disables the capture
-/// and the OpenMetrics emission in WriteText.
+/// observations). Defaults on; SetExemplarsEnabled(false) disables the
+/// capture and the OpenMetrics emission in WriteText.
 bool ExemplarsEnabled();
-/// Programmatic override (tests, benches). Wins over the environment.
+/// Programmatic override (tests, benches).
 void SetExemplarsEnabled(bool enabled);
 
 /// One exemplar: an observed value and the trace that produced it.

@@ -17,8 +17,10 @@ namespace serve {
 namespace {
 
 /// One worker's private execution context. The network, spatial index and
-/// transition statistics are shared read-only; everything with mutable
-/// state (Dijkstra scratch, model decode scratch) is owned per worker.
+/// transition statistics are shared read-only. The shortest-path engine and
+/// route planner (Dijkstra scratch) are owned per worker, and so are the
+/// models: TRMMA is bound to this worker's matcher, planner and engine, and
+/// MatchPoints/TryRecover are non-const.
 class StackWorker : public Worker {
  public:
   StackWorker(const ExperimentStack& stack, const SessionConfig& config)

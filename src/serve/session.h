@@ -21,14 +21,16 @@ struct SessionConfig {
 };
 
 /// Session/facade over a trained ExperimentStack: a concurrent serving
-/// engine whose workers each hold a private execution context (route
-/// planner scratch and model clones) over the stack's shared immutable
-/// substrates (network, spatial index, transition statistics).
+/// engine whose workers each hold a private execution context (shortest-path
+/// engine, route planner and model instances) over the stack's shared
+/// immutable substrates (network, spatial index, transition statistics).
 ///
 /// Create snapshots the stack's trained MMA/TRMMA weights and loads them
-/// into per-worker clones, because the matcher and recovery models keep
-/// mutable decode scratch and the planners keep Dijkstra scratch — none of
-/// which is thread-safe to share. The stack must outlive the session; the
+/// into per-worker model instances. The models themselves hold only weights
+/// and config (decoding uses local buffers), but they cannot be shared:
+/// TrmmaRecovery binds the worker's own MapMatcher, DaRoutePlanner and
+/// ShortestPathEngine, which carry Dijkstra scratch, and MatchPoints /
+/// TryRecover are non-const. The stack must outlive the session; the
 /// session never mutates it.
 class ServingSession {
  public:

@@ -336,7 +336,7 @@ TEST(HistogramMergeTest, SelfMergeDoublesCleanly) {
 // ------------------------------------------------------------- exemplars
 
 /// Forces exemplar capture on for the test body, restoring the previous
-/// switch (which may have come from TRMMA_EXEMPLARS) on scope exit.
+/// switch on scope exit.
 class ExemplarGuard {
  public:
   ExemplarGuard() : prev_(ExemplarsEnabled()) { SetExemplarsEnabled(true); }

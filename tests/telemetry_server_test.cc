@@ -161,6 +161,14 @@ TEST(TelemetryServerTest, UnknownPathIs404AndQueryStringsAreStripped) {
   ServerGuard server;
   const std::string missing = HttpGet(server->port(), "/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+  // A retired endpoint 404s like any unknown path and is not advertised.
+  const std::string retired = "/perf";
+  const std::string gone = HttpGet(server->port(), retired);
+  EXPECT_NE(gone.find("HTTP/1.0 404"), std::string::npos);
+  const size_t listing = gone.find("available endpoints:");
+  ASSERT_NE(listing, std::string::npos);
+  EXPECT_NE(gone.find("/metrics", listing), std::string::npos);
+  EXPECT_EQ(gone.find(retired, listing), std::string::npos);
   const std::string with_query = HttpGet(server->port(), "/healthz?probe=1");
   EXPECT_NE(with_query.find("HTTP/1.0 200"), std::string::npos);
 }
