@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DTRMMA_TSAN=ON) in a dedicated
-# build directory and runs the concurrency-sensitive tests under it. Any
-# data-race report fails the run.
+# build directory and runs the test suite under it. Any data-race report
+# fails the run.
 #
 # Usage: scripts/run_tsan_tests.sh [ctest args...]
-#   With no args, runs the serving + chaos suites (the threaded surface);
-#   pass your own ctest filter to widen or narrow the selection,
-#   e.g. scripts/run_tsan_tests.sh -R telemetry
+#   With no args, runs the full suite except the long bench smokes (the
+#   same exclusion as the ASan/UBSan job): every serve worker shares one
+#   model and routing context, so any test may touch shared state. Pass
+#   your own ctest filter to narrow the selection,
+#   e.g. scripts/run_tsan_tests.sh -R '^(Serve|RoutingScratch)'
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -20,14 +22,8 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
-# Anchored suite names: a bare 'serve|chaos' would substring-match
-# unrelated tests ("...Preserves...", "...Observed...") and miss the
-# capitalized Serve/Chaos suites entirely. StackWalk/Postmortem/
-# StallWatchdog/LockOrder are the postmortem-observability surface: signal
-# rendezvous, lock-free in-flight registry, watchdog thread, and the
-# lock-order detector's hook paths all cross threads.
 if [ "$#" -eq 0 ]; then
-  set -- -R '^(Serve|Chaos|Deadline|CircuitBreaker|MixSeed|FaultInjector|StackWalk|Postmortem|InflightRegistry|StallWatchdog|LockOrder)'
+  set -- -E 'bench_.*_smoke'
 fi
 
 ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure "$@"

@@ -51,7 +51,7 @@ double PointwiseAccuracy(const MatchedTrajectory& pred,
 }
 
 DistanceErrors RecoveryDistanceErrors(const RoadNetwork& network,
-                                      ShortestPathEngine& engine,
+                                      const ShortestPathEngine& engine,
                                       const MatchedTrajectory& pred,
                                       const MatchedTrajectory& truth,
                                       double cap_m) {

@@ -39,7 +39,7 @@ struct DistanceErrors {
 };
 
 DistanceErrors RecoveryDistanceErrors(const RoadNetwork& network,
-                                      ShortestPathEngine& engine,
+                                      const ShortestPathEngine& engine,
                                       const MatchedTrajectory& pred,
                                       const MatchedTrajectory& truth,
                                       double cap_m = 2000.0);

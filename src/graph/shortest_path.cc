@@ -25,70 +25,70 @@ void RecordSettled(size_t touched) {
 
 }  // namespace
 
+SearchScratch& SearchScratch::ForThread(int num_vertices) {
+  thread_local SearchScratch scratch;
+  for (int v : scratch.touched) {
+    scratch.dist[v] = ShortestPathEngine::kInfinity;
+    scratch.via[v] = kInvalidSegment;
+  }
+  scratch.touched.clear();
+  if (scratch.dist.size() < static_cast<size_t>(num_vertices)) {
+    scratch.dist.resize(num_vertices, ShortestPathEngine::kInfinity);
+    scratch.via.resize(num_vertices, kInvalidSegment);
+  }
+  return scratch;
+}
+
 ShortestPathEngine::ShortestPathEngine(const RoadNetwork& network)
     : network_(network) {
   TRMMA_CHECK(network.finalized());
-  dist_.assign(network.num_nodes(), kInfinity);
-  via_.assign(network.num_nodes(), kInvalidSegment);
-}
-
-void ShortestPathEngine::Reset() {
-  for (int node : touched_) {
-    dist_[node] = kInfinity;
-    via_[node] = kInvalidSegment;
-  }
-  touched_.clear();
 }
 
 PathResult ShortestPathEngine::NodeToNode(NodeId src, NodeId dst,
-                                          double max_dist_m) {
+                                          double max_dist_m) const {
   TRMMA_SPAN("sp.node_to_node");
   TRMMA_CHECK_GE(src, 0);
   TRMMA_CHECK_LT(src, network_.num_nodes());
   TRMMA_CHECK_GE(dst, 0);
   TRMMA_CHECK_LT(dst, network_.num_nodes());
-  Reset();
+  SearchScratch& s = SearchScratch::ForThread(network_.num_nodes());
 
   using QueueItem = std::pair<double, NodeId>;
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-  dist_[src] = 0.0;
-  via_[src] = kInvalidSegment;
-  touched_.push_back(src);
+  s.Label(src, 0.0, kInvalidSegment);
   queue.push({0.0, src});
 
   PathResult result;
   while (!queue.empty()) {
     const auto [d, u] = queue.top();
     queue.pop();
-    if (d > dist_[u]) continue;  // stale entry
+    if (d > s.dist[u]) continue;  // stale entry
     if (u == dst) break;
     if (d > max_dist_m) break;
     for (SegmentId sid : network_.OutSegments(u)) {
       const RoadSegment& seg = network_.segment(sid);
       const double nd = d + seg.length_m;
-      if (nd < dist_[seg.to] && nd <= max_dist_m) {
-        if (dist_[seg.to] == kInfinity) touched_.push_back(seg.to);
-        dist_[seg.to] = nd;
-        via_[seg.to] = sid;
+      if (nd < s.dist[seg.to] && nd <= max_dist_m) {
+        s.Label(seg.to, nd, sid);
         queue.push({nd, seg.to});
       }
     }
   }
 
-  RecordSettled(touched_.size());
-  if (dist_[dst] == kInfinity) return result;
+  RecordSettled(s.touched.size());
+  if (s.dist[dst] == kInfinity) return result;
   result.found = true;
-  result.distance_m = dist_[dst];
-  for (NodeId at = dst; via_[at] != kInvalidSegment;
-       at = network_.segment(via_[at]).from) {
-    result.segments.push_back(via_[at]);
+  result.distance_m = s.dist[dst];
+  for (NodeId at = dst; s.via[at] != kInvalidSegment;
+       at = network_.segment(s.via[at]).from) {
+    result.segments.push_back(s.via[at]);
   }
   std::reverse(result.segments.begin(), result.segments.end());
   return result;
 }
 
 PathResult ShortestPathEngine::SegmentToSegment(SegmentId from, SegmentId to,
-                                                double max_dist_m) {
+                                                double max_dist_m) const {
   PathResult result;
   if (from == to) {
     result.found = true;
@@ -110,7 +110,7 @@ PathResult ShortestPathEngine::SegmentToSegment(SegmentId from, SegmentId to,
 
 double ShortestPathEngine::PointToPointDistance(SegmentId e1, double r1,
                                                 SegmentId e2, double r2,
-                                                double max_dist_m) {
+                                                double max_dist_m) const {
   const RoadSegment& s1 = network_.segment(e1);
   const RoadSegment& s2 = network_.segment(e2);
   if (e1 == e2 && r2 >= r1) {
@@ -126,25 +126,22 @@ double ShortestPathEngine::PointToPointDistance(SegmentId e1, double r1,
 
 void ShortestPathEngine::Bounded(
     NodeId src, double max_dist_m,
-    const std::function<void(NodeId, double, SegmentId)>& visit) {
-  Reset();
+    const std::function<void(NodeId, double, SegmentId)>& visit) const {
+  SearchScratch& s = SearchScratch::ForThread(network_.num_nodes());
   using QueueItem = std::pair<double, NodeId>;
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-  dist_[src] = 0.0;
-  touched_.push_back(src);
+  s.Label(src, 0.0, kInvalidSegment);
   queue.push({0.0, src});
   while (!queue.empty()) {
     const auto [d, u] = queue.top();
     queue.pop();
-    if (d > dist_[u]) continue;
-    visit(u, d, via_[u]);
+    if (d > s.dist[u]) continue;
+    visit(u, d, s.via[u]);
     for (SegmentId sid : network_.OutSegments(u)) {
       const RoadSegment& seg = network_.segment(sid);
       const double nd = d + seg.length_m;
-      if (nd < dist_[seg.to] && nd <= max_dist_m) {
-        if (dist_[seg.to] == kInfinity) touched_.push_back(seg.to);
-        dist_[seg.to] = nd;
-        via_[seg.to] = sid;
+      if (nd < s.dist[seg.to] && nd <= max_dist_m) {
+        s.Label(seg.to, nd, sid);
         queue.push({nd, seg.to});
       }
     }

@@ -48,35 +48,28 @@ double TransitionStats::Probability(SegmentId from, SegmentId to) const {
 
 DaRoutePlanner::DaRoutePlanner(const RoadNetwork& network,
                                const TransitionStats& stats)
-    : network_(network), stats_(stats) {
-  cost_.assign(network.num_segments(), ShortestPathEngine::kInfinity);
-  prev_.assign(network.num_segments(), kInvalidSegment);
-}
+    : network_(network), stats_(stats) {}
 
 PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
-                                double max_cost) {
+                                double max_cost) const {
   PathResult result;
   if (from == to) {
     result.found = true;
     result.segments = {from};
     return result;
   }
-  for (int sid : touched_) {
-    cost_[sid] = ShortestPathEngine::kInfinity;
-    prev_[sid] = kInvalidSegment;
-  }
-  touched_.clear();
+  // Search over segments: dist holds the cost, via the previous segment.
+  SearchScratch& s = SearchScratch::ForThread(network_.num_segments());
 
   using QueueItem = std::pair<double, SegmentId>;
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-  cost_[from] = 0.0;
-  touched_.push_back(from);
+  s.Label(from, 0.0, kInvalidSegment);
   queue.push({0.0, from});
 
   while (!queue.empty()) {
     const auto [c, e] = queue.top();
     queue.pop();
-    if (c > cost_[e]) continue;
+    if (c > s.dist[e]) continue;
     if (e == to) break;
     if (c > max_cost) break;
     for (SegmentId next : network_.NextSegments(e)) {
@@ -85,21 +78,17 @@ PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
       const double step = network_.segment(next).length_m *
                           (1.0 + kPopularityWeight * nll);
       const double nc = c + step;
-      if (nc < cost_[next] && nc <= max_cost) {
-        if (cost_[next] == ShortestPathEngine::kInfinity) {
-          touched_.push_back(next);
-        }
-        cost_[next] = nc;
-        prev_[next] = e;
+      if (nc < s.dist[next] && nc <= max_cost) {
+        s.Label(next, nc, e);
         queue.push({nc, next});
       }
     }
   }
 
-  if (cost_[to] == ShortestPathEngine::kInfinity) return result;
+  if (s.dist[to] == ShortestPathEngine::kInfinity) return result;
   result.found = true;
-  result.distance_m = cost_[to];
-  for (SegmentId at = to; at != kInvalidSegment; at = prev_[at]) {
+  result.distance_m = s.dist[to];
+  for (SegmentId at = to; at != kInvalidSegment; at = s.via[at]) {
     result.segments.push_back(at);
   }
   std::reverse(result.segments.begin(), result.segments.end());

@@ -45,6 +45,8 @@ class TransitionStats {
 ///   length(e') * (1 + kPopularityWeight * (-log P(e'|e)))
 /// so the planner stays goal-directed (length term) but favors observed
 /// driving behaviour; with no statistics it degrades to shortest path.
+/// Plan is const and keeps its labels in the calling thread's
+/// SearchScratch, so one planner serves any number of threads.
 class DaRoutePlanner {
  public:
   DaRoutePlanner(const RoadNetwork& network, const TransitionStats& stats);
@@ -55,14 +57,12 @@ class DaRoutePlanner {
   /// Route from `from` to `to`, both included. `max_cost` caps the search
   /// (scaled cost units ~= meters). found=false when disconnected within
   /// the budget.
-  PathResult Plan(SegmentId from, SegmentId to, double max_cost = 3.0e4);
+  PathResult Plan(SegmentId from, SegmentId to,
+                  double max_cost = 3.0e4) const;
 
  private:
   const RoadNetwork& network_;
   const TransitionStats& stats_;
-  std::vector<double> cost_;
-  std::vector<SegmentId> prev_;
-  std::vector<int> touched_;
 };
 
 }  // namespace trmma

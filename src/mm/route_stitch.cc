@@ -8,8 +8,8 @@
 namespace trmma {
 
 std::vector<RouteSection> StitchRouteSections(
-    const RoadNetwork& network, DaRoutePlanner& planner,
-    ShortestPathEngine& fallback,
+    const RoadNetwork& network, const DaRoutePlanner& planner,
+    const ShortestPathEngine& fallback,
     const std::vector<SegmentId>& point_segments) {
   std::vector<RouteSection> sections;
   const int n = static_cast<int>(point_segments.size());
@@ -89,8 +89,8 @@ std::vector<RouteSection> StitchRouteSections(
   return sections;
 }
 
-Route StitchRoute(const RoadNetwork& network, DaRoutePlanner& planner,
-                  ShortestPathEngine& fallback,
+Route StitchRoute(const RoadNetwork& network, const DaRoutePlanner& planner,
+                  const ShortestPathEngine& fallback,
                   const std::vector<SegmentId>& point_segments) {
   Route route;
   for (RouteSection& section :

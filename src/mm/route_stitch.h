@@ -29,16 +29,16 @@ struct RouteSection {
 /// whose points are all invalid yields no sections. Section splits are
 /// counted on the mm.stitch.disconnected metric.
 std::vector<RouteSection> StitchRouteSections(
-    const RoadNetwork& network, DaRoutePlanner& planner,
-    ShortestPathEngine& fallback,
+    const RoadNetwork& network, const DaRoutePlanner& planner,
+    const ShortestPathEngine& fallback,
     const std::vector<SegmentId>& point_segments);
 
 /// Single-route view of StitchRouteSections (the paper's formulation):
 /// section routes concatenated back to back. When sections split, the
 /// result contains a discontinuity, exactly as in the rare disconnected
 /// case discussed in §VI-A.
-Route StitchRoute(const RoadNetwork& network, DaRoutePlanner& planner,
-                  ShortestPathEngine& fallback,
+Route StitchRoute(const RoadNetwork& network, const DaRoutePlanner& planner,
+                  const ShortestPathEngine& fallback,
                   const std::vector<SegmentId>& point_segments);
 
 }  // namespace trmma

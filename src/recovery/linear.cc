@@ -30,8 +30,9 @@ MatchedPoint WalkAlongRoute(const RoadNetwork& network, const Route& route,
 }
 
 LinearRecovery::LinearRecovery(const RoadNetwork& network, MapMatcher* matcher,
-                               DaRoutePlanner* planner,
-                               ShortestPathEngine* fallback, std::string label)
+                               const DaRoutePlanner* planner,
+                               const ShortestPathEngine* fallback,
+                               std::string label)
     : network_(network), matcher_(matcher), planner_(planner),
       fallback_(fallback), label_(std::move(label)) {}
 

@@ -19,8 +19,8 @@ class LinearRecovery : public RecoveryMethod {
   /// All referenced objects must outlive the instance. `label` becomes the
   /// display name (e.g. "Linear", "MMA+linear", "Nearest+linear").
   LinearRecovery(const RoadNetwork& network, MapMatcher* matcher,
-                 DaRoutePlanner* planner, ShortestPathEngine* fallback,
-                 std::string label);
+                 const DaRoutePlanner* planner,
+                 const ShortestPathEngine* fallback, std::string label);
 
   MatchedTrajectory Recover(const Trajectory& sparse,
                             double epsilon) override;
@@ -29,8 +29,8 @@ class LinearRecovery : public RecoveryMethod {
  private:
   const RoadNetwork& network_;
   MapMatcher* matcher_;
-  DaRoutePlanner* planner_;
-  ShortestPathEngine* fallback_;
+  const DaRoutePlanner* planner_;
+  const ShortestPathEngine* fallback_;
   std::string label_;
 };
 

@@ -18,8 +18,8 @@ using nn::Tensor;
 namespace ops = nn::ops;
 
 TrmmaRecovery::TrmmaRecovery(const RoadNetwork& network, MapMatcher* matcher,
-                             DaRoutePlanner* planner,
-                             ShortestPathEngine* fallback,
+                             const DaRoutePlanner* planner,
+                             const ShortestPathEngine* fallback,
                              const TrmmaConfig& config, std::string label)
     : network_(network), matcher_(matcher), planner_(planner),
       fallback_(fallback), config_(config), label_(std::move(label)),
@@ -162,8 +162,8 @@ struct PreparedInput {
 /// unrecoverable case and returns a Status instead.
 StatusOr<PreparedInput> PrepareSections(const RoadNetwork& network,
                                         MapMatcher& matcher,
-                                        DaRoutePlanner& planner,
-                                        ShortestPathEngine& fallback,
+                                        const DaRoutePlanner& planner,
+                                        const ShortestPathEngine& fallback,
                                         const Trajectory& sparse) {
   std::vector<SegmentId> segs = matcher.MatchPoints(sparse);
   const int n = static_cast<int>(segs.size());

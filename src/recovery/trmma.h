@@ -49,8 +49,9 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   /// HMM for the TRMMA-Near / TRMMA-HMM ablations). Referenced objects
   /// must outlive the instance.
   TrmmaRecovery(const RoadNetwork& network, MapMatcher* matcher,
-                DaRoutePlanner* planner, ShortestPathEngine* fallback,
-                const TrmmaConfig& config, std::string label = "TRMMA");
+                const DaRoutePlanner* planner,
+                const ShortestPathEngine* fallback, const TrmmaConfig& config,
+                std::string label = "TRMMA");
 
   /// One teacher-forced training epoch over the dataset's training split
   /// (ground-truth routes and matched points; loss Eq. 21). Returns the
@@ -147,8 +148,8 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
 
   const RoadNetwork& network_;
   MapMatcher* matcher_;
-  DaRoutePlanner* planner_;
-  ShortestPathEngine* fallback_;
+  const DaRoutePlanner* planner_;
+  const ShortestPathEngine* fallback_;
   TrmmaConfig config_;
   std::string label_;
   Rng init_rng_;

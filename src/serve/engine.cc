@@ -114,8 +114,9 @@ ServeConfig ServeConfig::FromEnv() {
   return config;
 }
 
-ServeEngine::ServeEngine(const ServeConfig& config, WorkerFactory factory)
-    : config_(config), factory_(std::move(factory)),
+ServeEngine::ServeEngine(const ServeConfig& config,
+                         std::unique_ptr<Worker> worker)
+    : config_(config), worker_(std::move(worker)),
       faults_(config.faults != nullptr ? config.faults
                                        : &FaultInjector::Global()),
       match_breaker_("match", config.breaker),
@@ -155,23 +156,12 @@ Status ServeEngine::Start() {
   if (config_.queue_cap <= 0) {
     return Status::InvalidArgument("serve queue_cap must be positive");
   }
+  if (worker_ == nullptr) {
+    return Status::InvalidArgument("serve engine needs a worker");
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_) return Status::FailedPrecondition("engine already started");
-  }
-  // Worker contexts are built here, on the caller's thread, so the factory
-  // needn't be thread-safe and the caller may release staging resources
-  // (e.g. temp weight snapshots) as soon as Start returns.
-  workers_.clear();
-  workers_.reserve(static_cast<size_t>(config_.threads));
-  for (int i = 0; i < config_.threads; ++i) {
-    std::unique_ptr<Worker> worker = factory_(i);
-    if (worker == nullptr) {
-      workers_.clear();
-      return Status::Internal("worker factory returned null for worker " +
-                              std::to_string(i));
-    }
-    workers_.push_back(std::move(worker));
   }
   PreRegisterMetrics();
   {
@@ -187,7 +177,7 @@ Status ServeEngine::Start() {
   timer_thread_ = std::thread(&ServeEngine::TimerLoop, this);
   threads_.reserve(static_cast<size_t>(config_.threads));
   for (int i = 0; i < config_.threads; ++i) {
-    threads_.emplace_back(&ServeEngine::WorkerLoop, this, i);
+    threads_.emplace_back(&ServeEngine::WorkerLoop, this);
   }
   // Environment-gated postmortem hooks (both no-ops when unset): the stall
   // watchdog scanning this engine's in-flight requests, and the crash
@@ -342,11 +332,10 @@ bool ServeEngine::TryEnqueue(Task task) {
   return true;
 }
 
-void ServeEngine::WorkerLoop(int index) {
+void ServeEngine::WorkerLoop() {
   // Registered so all-thread stack dumps (SIGUSR2 rendezvous, crash
   // reports, the watchdog's stuck-worker dumps) can see this thread.
   obs::ScopedThreadRegistration registration("serve.worker");
-  Worker* worker = workers_[static_cast<size_t>(index)].get();
   while (true) {
     Task task;
     {
@@ -357,11 +346,11 @@ void ServeEngine::WorkerLoop(int index) {
       queue_.pop_front();
       SetGauge("serve.queue.depth", static_cast<double>(queue_.size()));
     }
-    Execute(task, worker);
+    Execute(task);
   }
 }
 
-void ServeEngine::Execute(const Task& task, Worker* worker) {
+void ServeEngine::Execute(const Task& task) {
   const std::shared_ptr<RequestState>& req = task.req;
   if (req->done.load(std::memory_order_acquire)) return;  // twin finished
   const RequestKind kind = req->request.kind;
@@ -460,10 +449,10 @@ void ServeEngine::Execute(const Task& task, Worker* worker) {
                                                         : "serve.recover");
     DeadlineScope deadline_scope(req->deadline, &req->done);
     if (kind == RequestKind::kMatch) {
-      status = worker->Match(input, &resp.match);
+      status = worker_->Match(input, &resp.match);
     } else {
-      status = worker->Recover(input, req->request.epsilon, &resp.recovered,
-                               &pipeline_degraded);
+      status = worker_->Recover(input, req->request.epsilon, &resp.recovered,
+                                &pipeline_degraded);
     }
     resp.deadline_degraded = DeadlineDegradationNoted();
     if (obs::RequestRecord* rec = scope.record()) {

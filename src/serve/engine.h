@@ -79,9 +79,9 @@ struct ServeResponse {
   uint64_t trace_id = 0;
 };
 
-/// Per-worker execution context over shared immutable substrates. One
-/// instance per worker thread, so implementations may hold mutable state
-/// (planner scratch, model clones) without synchronization.
+/// Request executor over shared immutable substrates. The engine holds one
+/// instance and calls it concurrently from every worker thread, so
+/// implementations must be thread-safe.
 class Worker {
  public:
   virtual ~Worker() = default;
@@ -89,10 +89,6 @@ class Worker {
   virtual Status Recover(const Trajectory& traj, double epsilon,
                          MatchedTrajectory* out, bool* degraded) = 0;
 };
-
-/// Builds the context for worker `index`; called on the Start() thread
-/// (not the worker thread), so it need not be thread-safe.
-using WorkerFactory = std::function<std::unique_ptr<Worker>(int index)>;
 
 struct ServeConfig {
   int threads = 4;
@@ -138,8 +134,8 @@ struct ServeStats {
 };
 
 /// Concurrent request executor with deadlines, admission control and
-/// overload resilience (DESIGN.md §11): a bounded queue feeding a worker
-/// pool of per-thread contexts, per-class circuit breakers, p99/queue
+/// overload resilience (DESIGN.md §11): a bounded queue feeding a pool of
+/// threads that share one Worker, per-class circuit breakers, p99/queue
 /// load-shedding, bounded jittered-backoff retries for transient failures,
 /// and optional request hedging. Every submitted request resolves to
 /// exactly one Outcome.
@@ -147,13 +143,13 @@ class ServeEngine {
  public:
   using Clock = std::chrono::steady_clock;
 
-  ServeEngine(const ServeConfig& config, WorkerFactory factory);
+  ServeEngine(const ServeConfig& config, std::unique_ptr<Worker> worker);
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Builds every worker context (on this thread) and launches the pool.
+  /// Launches the worker pool.
   Status Start();
 
   /// Sheds new arrivals, drains the queue by execution (every pending
@@ -211,9 +207,9 @@ class ServeEngine {
     }
   };
 
-  void WorkerLoop(int index);
+  void WorkerLoop();
   void TimerLoop();
-  void Execute(const Task& task, Worker* worker);
+  void Execute(const Task& task);
   /// Resolves the request exactly once; later calls (hedge twin) drop out.
   void Finalize(const std::shared_ptr<RequestState>& req,
                 ServeResponse&& response, bool from_hedge);
@@ -234,7 +230,7 @@ class ServeEngine {
   void PreRegisterMetrics();
 
   const ServeConfig config_;
-  WorkerFactory factory_;
+  const std::unique_ptr<Worker> worker_;
   const FaultInjector* faults_;
 
   CircuitBreaker match_breaker_;
@@ -267,7 +263,6 @@ class ServeEngine {
   size_t latency_pos_ = 0;
   size_t latency_count_ = 0;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::thread timer_thread_;
 };

@@ -21,24 +21,18 @@ struct SessionConfig {
 };
 
 /// Session/facade over a trained ExperimentStack: a concurrent serving
-/// engine whose workers each hold a private execution context (shortest-path
-/// engine, route planner and model instances) over the stack's shared
-/// immutable substrates (network, spatial index, transition statistics).
-///
-/// Create snapshots the stack's trained MMA/TRMMA weights and loads them
-/// into per-worker model instances. The models themselves hold only weights
-/// and config (decoding uses local buffers), but they cannot be shared:
-/// TrmmaRecovery binds the worker's own MapMatcher, DaRoutePlanner and
-/// ShortestPathEngine, which carry Dijkstra scratch, and MatchPoints /
-/// TryRecover are non-const. The stack must outlive the session; the
-/// session never mutates it.
+/// engine whose worker threads all answer from the stack's own MMA, TRMMA,
+/// route planner and shortest-path engine. Inference only reads the model
+/// weights, and routing keeps its Dijkstra labels per thread
+/// (SearchScratch), so sharing needs no copies and no locks. The stack must
+/// outlive the session and must not be trained while it serves; the session
+/// never mutates it.
 class ServingSession {
  public:
-  /// Requires stack.mma and stack.trmma (trained or not — weights are
-  /// copied as-is; Save/Load need mutable access, hence the non-const
-  /// stack). Fails with kIOError when weight snapshotting fails.
+  /// Requires a built stack with stack.mma and stack.trmma (trained or
+  /// not); fails with kInvalidArgument otherwise.
   static StatusOr<std::unique_ptr<ServingSession>> Create(
-      ExperimentStack& stack, const SessionConfig& config);
+      const ExperimentStack& stack, const SessionConfig& config);
 
   ~ServingSession();
 

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "eval/experiment.h"
+#include "nn/matrix.h"
 #include "obs/metrics.h"
 #include "robust/fault_injection.h"
+#include "robust/pipeline.h"
 #include "serve/session.h"
 #include "tests/test_util.h"
 
@@ -290,6 +295,116 @@ TEST_F(ServeChaosFixture, FaultInjectedRampStaysAccountable) {
       "serve.outcome.total", &outcomes_metric));
   EXPECT_GE(outcomes_metric, 96);
   if (!metrics_were_on) obs::SetTraceMode(obs::TraceMode::kOff);
+}
+
+TEST_F(ServeChaosFixture, SessionCreationCostDoesNotScaleWithWorkers) {
+  // Every worker answers from the stack's own models: a session allocates
+  // no model memory per worker and stages no weight files.
+  auto create_bytes = [](int threads) {
+    serve::ServeConfig config;
+    config.threads = threads;
+    const int64_t before = nn::MatrixBytesAllocated();
+    auto session = MakeSession(config);
+    const int64_t bytes = nn::MatrixBytesAllocated() - before;
+    EXPECT_NE(session, nullptr);
+    return bytes;
+  };
+  EXPECT_EQ(create_bytes(1), create_bytes(4));
+
+  const std::string staged = "_" + std::to_string(::getpid()) + "_";
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_FALSE(name.rfind("trmma_serve_", 0) == 0 &&
+                 name.find(staged) != std::string::npos)
+        << "staging file left behind: " << name;
+  }
+}
+
+TEST_F(ServeChaosFixture, ConcurrentAnswersEqualDirectCallsOnTheStack) {
+  const RoadNetwork& net = *dataset_->network;
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 12;
+  std::vector<serve::ServeRequest> requests;
+  for (int i = 0; i < kClients * kPerClient; ++i) {
+    requests.push_back(SampleRequest(i));
+  }
+
+  // Direct answers, serially on this thread, from the stack's own objects.
+  PipelineConfig pipeline_config;
+  pipeline_config.sanitize.network = &net;
+  pipeline_config.epsilon = dataset_->epsilon_s;
+  RobustRecoveryPipeline pipeline(stack_->trmma.get(), pipeline_config);
+  std::vector<serve::MatchOutput> want_match(requests.size());
+  std::vector<PipelineResult> want_recover(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Trajectory& traj = requests[i].traj;
+    if (requests[i].kind == serve::RequestKind::kMatch) {
+      want_match[i].segments = stack_->mma->MatchPoints(traj);
+      want_match[i].sections = StitchRouteSections(
+          net, *stack_->planner, *stack_->engine, want_match[i].segments);
+    } else {
+      want_recover[i] = pipeline.RunSanitized(traj);
+    }
+  }
+
+  // The same requests from 4 concurrent clients on 4 workers, with no
+  // deadline, retry or fault that could change an answer.
+  const FaultInjector no_faults{FaultInjectionConfig{}};
+  serve::ServeConfig config;
+  config.threads = 4;
+  config.queue_cap = kClients * kPerClient;
+  config.deadline_ms = 0.0;
+  config.max_retries = 0;
+  config.faults = &no_faults;
+  auto session = MakeSession(config);
+  ASSERT_NE(session, nullptr);
+  std::vector<serve::ServeResponse> got(requests.size());
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < requests.size(); i += kClients) {
+        got[i] = session->SubmitAndWait(requests[i]);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  session->Stop();
+  EXPECT_TRUE(session->stats().Consistent());
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const serve::ServeResponse& resp = got[i];
+    ASSERT_NE(resp.outcome, serve::Outcome::kShed) << "request " << i;
+    ASSERT_NE(resp.outcome, serve::Outcome::kTimeout) << "request " << i;
+    EXPECT_FALSE(resp.deadline_degraded) << "request " << i;
+    if (requests[i].kind == serve::RequestKind::kMatch) {
+      ASSERT_TRUE(resp.status.ok()) << "request " << i;
+      EXPECT_EQ(resp.match.segments, want_match[i].segments) << i;
+      ASSERT_EQ(resp.match.sections.size(), want_match[i].sections.size())
+          << i;
+      for (size_t k = 0; k < resp.match.sections.size(); ++k) {
+        const RouteSection& a = resp.match.sections[k];
+        const RouteSection& b = want_match[i].sections[k];
+        EXPECT_EQ(a.route, b.route) << i;
+        EXPECT_EQ(a.first_point, b.first_point) << i;
+        EXPECT_EQ(a.last_point, b.last_point) << i;
+      }
+      continue;
+    }
+    const PipelineResult& want = want_recover[i];
+    ASSERT_EQ(resp.status.ok(), !want.failed()) << "request " << i;
+    EXPECT_EQ(resp.pipeline_degraded,
+              !want.failed() && want.outcome != RecoveryOutcome::kOk)
+        << i;
+    ASSERT_EQ(resp.recovered.size(),
+              want.failed() ? 0u : want.recovered.size())
+        << i;
+    for (size_t k = 0; k < resp.recovered.size(); ++k) {
+      EXPECT_EQ(resp.recovered[k].segment, want.recovered[k].segment) << i;
+      EXPECT_EQ(resp.recovered[k].ratio, want.recovered[k].ratio) << i;
+      EXPECT_EQ(resp.recovered[k].t, want.recovered[k].t) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -326,26 +326,21 @@ class FlakyWorker : public serve::Worker {
   StatusCode code_;
 };
 
-serve::WorkerFactory EchoFactory() {
-  return [](int) { return std::make_unique<EchoWorker>(); };
-}
-
-TEST(ServeEngineTest, StartValidatesConfigAndFactory) {
+TEST(ServeEngineTest, StartValidatesConfigAndWorker) {
   serve::ServeConfig config;
   config.threads = 0;
-  serve::ServeEngine bad_threads(config, EchoFactory());
+  serve::ServeEngine bad_threads(config, std::make_unique<EchoWorker>());
   EXPECT_EQ(bad_threads.Start().code(), StatusCode::kInvalidArgument);
 
   config.threads = 1;
-  serve::ServeEngine null_worker(
-      config, [](int) -> std::unique_ptr<serve::Worker> { return nullptr; });
-  EXPECT_EQ(null_worker.Start().code(), StatusCode::kInternal);
+  serve::ServeEngine null_worker(config, nullptr);
+  EXPECT_EQ(null_worker.Start().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServeEngineTest, ServesBothRequestClasses) {
   serve::ServeConfig config;
   config.threads = 2;
-  serve::ServeEngine engine(config, EchoFactory());
+  serve::ServeEngine engine(config, std::make_unique<EchoWorker>());
   ASSERT_TRUE(engine.Start().ok());
 
   serve::ServeResponse m = engine.SubmitAndWait(MatchRequest());
@@ -376,10 +371,8 @@ TEST(ServeEngineTest, FullQueueShedsWithRetryAfter) {
   config.threads = 1;
   config.queue_cap = 2;
   config.deadline_ms = 0.0;  // queued requests must not time out
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<GatedWorker>(&calls, 0, &entered,
-                                         gate_future);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<GatedWorker>(&calls, 0, &entered, gate_future));
   ASSERT_TRUE(engine.Start().ok());
 
   // First request occupies the only worker...
@@ -415,10 +408,8 @@ TEST(ServeEngineTest, QueuedRequestTimesOutWhenDeadlineExpires) {
   serve::ServeConfig config;
   config.threads = 1;
   config.deadline_ms = 20.0;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<GatedWorker>(&calls, 0, &entered,
-                                         gate_future);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<GatedWorker>(&calls, 0, &entered, gate_future));
   ASSERT_TRUE(engine.Start().ok());
 
   std::future<serve::ServeResponse> blocked = engine.Submit(MatchRequest());
@@ -447,9 +438,8 @@ TEST(ServeEngineTest, TransientFailureRetriesAndSucceeds) {
   config.max_retries = 1;
   config.backoff_base_ms = 1.0;
   config.backoff_max_ms = 2.0;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<FlakyWorker>(&calls, 1, StatusCode::kIOError);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<FlakyWorker>(&calls, 1, StatusCode::kIOError));
   ASSERT_TRUE(engine.Start().ok());
 
   serve::ServeResponse resp = engine.SubmitAndWait(MatchRequest());
@@ -468,9 +458,8 @@ TEST(ServeEngineTest, ExhaustedRetriesDegradeWithStatus) {
   config.threads = 1;
   config.max_retries = 1;
   config.backoff_base_ms = 1.0;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<FlakyWorker>(&calls, 100, StatusCode::kIOError);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<FlakyWorker>(&calls, 100, StatusCode::kIOError));
   ASSERT_TRUE(engine.Start().ok());
 
   serve::ServeResponse resp = engine.SubmitAndWait(MatchRequest());
@@ -488,10 +477,9 @@ TEST(ServeEngineTest, PermanentFailureIsNotRetried) {
   serve::ServeConfig config;
   config.threads = 1;
   config.max_retries = 3;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<FlakyWorker>(&calls, 100,
-                                         StatusCode::kInvalidArgument);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<FlakyWorker>(&calls, 100,
+                                            StatusCode::kInvalidArgument));
   ASSERT_TRUE(engine.Start().ok());
 
   serve::ServeResponse resp = engine.SubmitAndWait(MatchRequest());
@@ -512,10 +500,8 @@ TEST(ServeEngineTest, HedgedAttemptWinsWhilePrimaryIsStuck) {
   config.threads = 2;
   config.deadline_ms = 0.0;
   config.hedge_after_ms = 20.0;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<GatedWorker>(&calls, 0, &entered,
-                                         gate_future);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<GatedWorker>(&calls, 0, &entered, gate_future));
   ASSERT_TRUE(engine.Start().ok());
 
   // The primary attempt (call 0) blocks; the hedge launches after 20ms on
@@ -540,10 +526,9 @@ TEST(ServeEngineTest, RepeatedFailuresTripTheBreakerThenShed) {
   config.max_retries = 0;
   config.breaker = SmallBreaker();
   config.breaker.cooldown_ms = 60000.0;  // stays open for the test
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<FlakyWorker>(&calls, 100,
-                                         StatusCode::kInvalidArgument);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<FlakyWorker>(&calls, 100,
+                                            StatusCode::kInvalidArgument));
   ASSERT_TRUE(engine.Start().ok());
 
   for (int i = 0; i < 4; ++i) {
@@ -573,7 +558,7 @@ TEST(ServeEngineTest, SloPressureShedsOnceP99ExceedsTheObjective) {
   config.threads = 1;
   config.shed_p99_us = 0.001;  // any completion is slower than 1ns
   config.shed_p99_min_depth = 0;
-  serve::ServeEngine engine(config, EchoFactory());
+  serve::ServeEngine engine(config, std::make_unique<EchoWorker>());
   ASSERT_TRUE(engine.Start().ok());
 
   // The latency window needs 32 samples before p99 pressure kicks in.
@@ -593,7 +578,7 @@ TEST(ServeEngineTest, StopDrainsEveryPendingFuture) {
   serve::ServeConfig config;
   config.threads = 2;
   config.deadline_ms = 0.0;
-  serve::ServeEngine engine(config, EchoFactory());
+  serve::ServeEngine engine(config, std::make_unique<EchoWorker>());
   ASSERT_TRUE(engine.Start().ok());
 
   std::vector<std::future<serve::ServeResponse>> futures;
@@ -652,7 +637,7 @@ class ServeObsGuard {
 TEST(ServeTraceTest, ResponsesCarryDistinctNonzeroTraceIds) {
   serve::ServeConfig config;
   config.threads = 1;
-  serve::ServeEngine engine(config, EchoFactory());
+  serve::ServeEngine engine(config, std::make_unique<EchoWorker>());
   ASSERT_TRUE(engine.Start().ok());
 
   const serve::ServeResponse a = engine.SubmitAndWait(MatchRequest());
@@ -679,9 +664,8 @@ TEST(ServeTraceTest, HedgedAttemptsShareTraceIdWithDistinctSpans) {
   config.threads = 2;
   config.deadline_ms = 0.0;
   config.hedge_after_ms = 20.0;
-  serve::ServeEngine engine(config, [&](int) {
-    return std::make_unique<GatedWorker>(&calls, 0, &entered, gate_future);
-  });
+  serve::ServeEngine engine(
+      config, std::make_unique<GatedWorker>(&calls, 0, &entered, gate_future));
   ASSERT_TRUE(engine.Start().ok());
 
   serve::ServeResponse resp = engine.SubmitAndWait(MatchRequest());

@@ -103,8 +103,7 @@ int Main(int argc, char** argv) {
   config.threads = 3;
   config.queue_cap = 32;
   config.deadline_ms = 10000.0;  // generous: sleeps must not time out
-  serve::ServeEngine engine(
-      config, [](int) { return std::make_unique<SleepyWorker>(400); });
+  serve::ServeEngine engine(config, std::make_unique<SleepyWorker>(400));
   const Status started = engine.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "crash_demo: %s\n", started.ToString().c_str());
