@@ -17,23 +17,66 @@ constexpr double kPopularityWeight = 0.25;
 
 TransitionStats::TransitionStats(const RoadNetwork& network)
     : network_(network),
-      counts_(network.num_segments()),
-      totals_(network.num_segments(), 0) {}
+      row_begin_(network.num_segments() + 1, 0),
+      totals_(network.num_segments(), 0) {
+  TRMMA_CHECK(network.finalized());
+  for (SegmentId e = 0; e < network.num_segments(); ++e) {
+    row_begin_[e + 1] =
+        row_begin_[e] + static_cast<int>(network.NextSegments(e).size());
+  }
+  counts_.assign(row_begin_.back(), 0);
+  step_costs_.assign(row_begin_.back(), 0.0);
+  for (SegmentId e = 0; e < network.num_segments(); ++e) RefreshRow(e);
+}
+
+int TransitionStats::Slot(SegmentId from, SegmentId to) const {
+  const std::vector<SegmentId>& next = network_.NextSegments(from);
+  for (size_t k = 0; k < next.size(); ++k) {
+    if (next[k] == to) return static_cast<int>(k);
+  }
+  return -1;
+}
+
+void TransitionStats::RefreshRow(SegmentId from) {
+  const std::vector<SegmentId>& next = network_.NextSegments(from);
+  const int begin = row_begin_[from];
+  for (size_t k = 0; k < next.size(); ++k) {
+    const double nll = -std::log(Probability(from, next[k]));
+    step_costs_[begin + k] = network_.segment(next[k]).length_m *
+                             (1.0 + kPopularityWeight * nll);
+  }
+}
 
 void TransitionStats::AddRoute(const Route& route) {
+  std::vector<SegmentId> changed;
   for (size_t i = 0; i + 1 < route.size(); ++i) {
     const SegmentId from = route[i];
     const SegmentId to = route[i + 1];
     if (from == to) continue;
-    ++counts_[from][to];
+    const int slot = Slot(from, to);
+    if (slot >= 0) {
+      ++counts_[row_begin_[from] + slot];
+    } else {
+      ++unconnected_counts_[static_cast<int64_t>(from) *
+                                network_.num_segments() +
+                            to];
+    }
     ++totals_[from];
+    changed.push_back(from);
   }
+  // Every row whose total moved has new probabilities in all its slots.
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  for (SegmentId from : changed) RefreshRow(from);
 }
 
 int TransitionStats::Count(SegmentId from, SegmentId to) const {
-  const auto& row = counts_[from];
-  auto it = row.find(to);
-  return it == row.end() ? 0 : it->second;
+  const int slot = Slot(from, to);
+  if (slot >= 0) return counts_[row_begin_[from] + slot];
+  auto it = unconnected_counts_.find(static_cast<int64_t>(from) *
+                                         network_.num_segments() +
+                                     to);
+  return it == unconnected_counts_.end() ? 0 : it->second;
 }
 
 int TransitionStats::TotalFrom(SegmentId from) const { return totals_[from]; }
@@ -72,12 +115,12 @@ PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
     if (c > s.dist[e]) continue;
     if (e == to) break;
     if (c > max_cost) break;
-    for (SegmentId next : network_.NextSegments(e)) {
+    const std::vector<SegmentId>& nexts = network_.NextSegments(e);
+    const double* steps = stats_.StepCosts(e);
+    for (size_t k = 0; k < nexts.size(); ++k) {
+      const SegmentId next = nexts[k];
       if (next == e) continue;
-      const double nll = -std::log(stats_.Probability(e, next));
-      const double step = network_.segment(next).length_m *
-                          (1.0 + kPopularityWeight * nll);
-      const double nc = c + step;
+      const double nc = c + steps[k];
       if (nc < s.dist[next] && nc <= max_cost) {
         s.Label(next, nc, e);
         queue.push({nc, next});

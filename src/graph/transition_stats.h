@@ -34,9 +34,31 @@ class TransitionStats {
   /// successors of `from`.
   double Probability(SegmentId from, SegmentId to) const;
 
+  /// DaRoutePlanner's cost of entering each successor of `from`, aligned
+  /// slot for slot with network.NextSegments(from):
+  ///   length(next) * (1 + kPopularityWeight * (-log P(next | from))).
+  /// AddRoute keeps every row current, so a planner reads costs with no
+  /// hash lookup and no log per edge relaxation.
+  const double* StepCosts(SegmentId from) const {
+    return step_costs_.data() + row_begin_[from];
+  }
+
  private:
+  /// Slot of `to` in from's successor row, or -1 if `to` does not follow
+  /// `from` on the network.
+  int Slot(SegmentId from, SegmentId to) const;
+
+  /// Recomputes the step costs of from's row from its current counts.
+  void RefreshRow(SegmentId from);
+
   const RoadNetwork& network_;
-  std::vector<std::unordered_map<SegmentId, int>> counts_;
+  /// Segment e's successor slots are [row_begin_[e], row_begin_[e + 1]).
+  std::vector<int> row_begin_;
+  std::vector<int> counts_;         ///< per successor slot
+  std::vector<double> step_costs_;  ///< per successor slot
+  /// Counts of pairs that are not physically connected (routes are
+  /// normally connected, so this stays empty); key from * |E| + to.
+  std::unordered_map<int64_t, int> unconnected_counts_;
   std::vector<int> totals_;
 };
 
@@ -45,6 +67,8 @@ class TransitionStats {
 ///   length(e') * (1 + kPopularityWeight * (-log P(e'|e)))
 /// so the planner stays goal-directed (length term) but favors observed
 /// driving behaviour; with no statistics it degrades to shortest path.
+/// The costs are read from TransitionStats::StepCosts, so statistics added
+/// after the planner is built take effect at once.
 /// Plan is const and keeps its labels in the calling thread's
 /// SearchScratch, so one planner serves any number of threads.
 class DaRoutePlanner {

@@ -95,18 +95,28 @@ bool EnsureNonEmptyCandidates(std::vector<std::vector<Candidate>>* candidates) {
 
 }  // namespace
 
+Tensor MmaMatcher::EncodePoints(nn::Tape& tape, const Trajectory& traj) {
+  Tensor z0 = nn::ops::Input(tape, PointFeatures(network_, traj));
+  return point_trans_.Forward(point_fc_.Forward(z0));
+}
+
+nn::Matrix MmaMatcher::InferPoints(const Trajectory& traj) const {
+  const nn::Matrix z0 = PointFeatures(network_, traj);
+  nn::Matrix z2(traj.size(), config_.d2);
+  point_fc_.Infer(z0.data(), traj.size(), z2.data());
+  point_trans_.Infer(&z2);
+  return z2;
+}
+
 std::vector<Tensor> MmaMatcher::ForwardLogits(
-    nn::Tape& tape, const Trajectory& traj,
+    nn::Tape& tape, Tensor z2,
     const std::vector<std::vector<Candidate>>& candidates) {
   TRMMA_SPAN("mma.forward");
   namespace ops = nn::ops;
-  // Point sequence embeddings z^(2) via FC + transformer (Eq. 3).
-  Tensor z0 = ops::Input(tape, PointFeatures(network_, traj));
-  Tensor z2 = point_trans_.Forward(point_fc_.Forward(z0));
-
+  const int num_points = z2.rows();
   std::vector<Tensor> logits;
-  logits.reserve(traj.size());
-  for (int i = 0; i < traj.size(); ++i) {
+  logits.reserve(num_points);
+  for (int i = 0; i < num_points; ++i) {
     const auto& cands = candidates[i];
     // Invariant enforced by EnsureNonEmptyCandidates at every call site.
     TRMMA_CHECK(!cands.empty());
@@ -169,8 +179,8 @@ double MmaMatcher::TrainEpoch(const Dataset& dataset, Rng& rng) {
     auto candidates =
         ComputeCandidates(network_, index_, sample.sparse, config_.kc);
     if (!EnsureNonEmptyCandidates(&candidates)) continue;
-    std::vector<Tensor> logits =
-        ForwardLogits(tape, sample.sparse, candidates);
+    std::vector<Tensor> logits = ForwardLogits(
+        tape, EncodePoints(tape, sample.sparse), candidates);
 
     // Per-point binary cross entropy against the ground-truth segment
     // (Eq. 10); points whose truth is outside the candidate set
@@ -219,6 +229,21 @@ Status MmaMatcher::Save(const std::string& path) {
 
 Status MmaMatcher::Load(const std::string& path) {
   return nn::LoadParameters(Parameters(), path);
+}
+
+std::vector<nn::Matrix> MmaMatcher::CandidateLogits(const Trajectory& traj,
+                                                    bool taped) {
+  std::vector<nn::Matrix> out;
+  if (traj.empty()) return out;
+  auto candidates = ComputeCandidates(network_, index_, traj, config_.kc);
+  if (!EnsureNonEmptyCandidates(&candidates)) return out;
+  nn::Tape tape;
+  const Tensor z2 = taped ? EncodePoints(tape, traj)
+                          : nn::ops::Input(tape, InferPoints(traj));
+  for (const Tensor& logit : ForwardLogits(tape, z2, candidates)) {
+    out.push_back(logit.value());
+  }
+  return out;
 }
 
 std::vector<SegmentId> MmaMatcher::MatchPoints(const Trajectory& traj) {
@@ -275,8 +300,10 @@ std::vector<SegmentId> MmaMatcher::MatchPointsWithScores(
     }
     return out;
   }
+  // The point encoder runs tape-free; the candidate head stays taped.
   nn::Tape tape;
-  std::vector<Tensor> logits = ForwardLogits(tape, traj, candidates);
+  std::vector<Tensor> logits = ForwardLogits(
+      tape, nn::ops::Input(tape, InferPoints(traj)), candidates);
   for (int i = 0; i < traj.size(); ++i) {
     int best = 0;
     for (int j = 1; j < logits[i].rows(); ++j) {

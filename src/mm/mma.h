@@ -62,6 +62,12 @@ class MmaMatcher : public MapMatcher, public nn::Module {
 
   std::string name() const override { return "MMA"; }
 
+  /// Per-point candidate logits (each kc_i x 1) over `traj`'s repaired
+  /// candidate sets (empty when no point has a candidate). The point
+  /// embeddings come from the tape-free encoder, as in MatchPoints, or,
+  /// with `taped`, from the taped one: the differential-test hook.
+  std::vector<nn::Matrix> CandidateLogits(const Trajectory& traj, bool taped);
+
   const MmaConfig& config() const { return config_; }
 
   /// Persists / restores all trainable parameters. The loading matcher
@@ -70,10 +76,20 @@ class MmaMatcher : public MapMatcher, public nn::Module {
   Status Load(const std::string& path);
 
  private:
-  /// Builds the graph for one trajectory; returns per-point candidate
-  /// logits (each kc_i x 1). `candidates` must come from ComputeCandidates.
+  /// Point sequence embeddings z^(2) (Eq. 3) on the tape: FC +
+  /// transformer over the normalized point features. The training path
+  /// and the oracle of InferPoints.
+  nn::Tensor EncodePoints(nn::Tape& tape, const Trajectory& traj);
+
+  /// Tape-free twin of EncodePoints (traj.size() x d2), bit-identical to
+  /// its value; activations in the calling thread's nn::InferScratch.
+  nn::Matrix InferPoints(const Trajectory& traj) const;
+
+  /// Builds the candidate head's graph for one trajectory from its point
+  /// embeddings `z2`; returns per-point candidate logits (each kc_i x 1).
+  /// `candidates` must come from ComputeCandidates.
   std::vector<nn::Tensor> ForwardLogits(
-      nn::Tape& tape, const Trajectory& traj,
+      nn::Tape& tape, nn::Tensor z2,
       const std::vector<std::vector<Candidate>>& candidates);
 
   const RoadNetwork& network_;

@@ -1,8 +1,10 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/infer.h"
 
 namespace trmma {
 namespace nn {
@@ -37,6 +39,37 @@ Tensor MultiHeadAttention::Forward(Tensor query, Tensor keys) {
     heads = h == 0 ? out : ops::ConcatCols(heads, out);
   }
   return ops::MatMulParam(heads, *wo_);
+}
+
+void MultiHeadAttention::Infer(const double* query, int n, const double* keys,
+                               int m, double* out) const {
+  const int d = model_dim_;
+  const int hd = head_dim_;
+  InferScratch& s = InferScratch::ForThread();
+  const size_t nd = static_cast<size_t>(n) * d;
+  const size_t md = static_cast<size_t>(m) * d;
+  double* q = Zeroed(s.q, nd);
+  double* k = Zeroed(s.k, md);
+  double* v = Zeroed(s.v, md);
+  AddMatMulBlocked(query, d, wq_->value.data(), d, q, d, n, d, d);
+  AddMatMulBlocked(keys, d, wk_->value.data(), d, k, d, m, d, d);
+  AddMatMulBlocked(keys, d, wv_->value.data(), d, v, d, m, d, d);
+
+  // Each head reads and writes its column block of q, k, v and heads in
+  // place: the slices and the concatenation of Forward are only views.
+  const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(hd));
+  double* heads = Zeroed(s.heads, nd);
+  s.kt.resize(static_cast<size_t>(hd) * m);
+  for (int h = 0; h < num_heads_; ++h) {
+    TransposeInto(k + h * hd, d, m, hd, s.kt.data());
+    double* scores = Zeroed(s.scores, static_cast<size_t>(n) * m);
+    AddMatMulBlocked(q + h * hd, d, s.kt.data(), m, scores, m, n, hd, m);
+    for (size_t i = 0; i < s.scores.size(); ++i) scores[i] *= inv_sqrt_d;
+    SoftmaxRowsInPlace(scores, n, m);
+    AddMatMulBlocked(scores, m, v + h * hd, d, heads + h * hd, d, n, m, hd);
+  }
+  std::fill(out, out + nd, 0.0);
+  AddMatMulBlocked(heads, d, wo_->value.data(), d, out, d, n, d, d);
 }
 
 }  // namespace nn

@@ -16,6 +16,13 @@ class MultiHeadAttention : public Module {
   /// MHAttn(Q=query, K=keys, V=keys): query (n x d), keys (m x d) -> n x d.
   Tensor Forward(Tensor query, Tensor keys);
 
+  /// Tape-free Forward on row-major buffers: query (n x d), keys (m x d)
+  /// -> out (n x d), bit-identical to Forward's value. Projections,
+  /// scores and heads live in InferScratch; `out` must not alias the
+  /// inputs.
+  void Infer(const double* query, int n, const double* keys, int m,
+             double* out) const;
+
   int model_dim() const { return model_dim_; }
   int num_heads() const { return num_heads_; }
 

@@ -14,6 +14,13 @@ class Linear : public Module {
 
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward: x (rows x in) -> out (rows x out), bit-identical
+  /// to Forward's value. `out` must not alias `x`.
+  void Infer(const double* x, int rows, double* out) const;
+
+  int in_dim() const { return w_->value.rows(); }
+  int out_dim() const { return w_->value.cols(); }
+
   Param& weight() { return *w_; }
   Param& bias() { return *b_; }
 
@@ -29,6 +36,10 @@ class Mlp : public Module {
 
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward (hidden layer in InferScratch::hidden);
+  /// bit-identical to Forward's value. `out` must not alias `x`.
+  void Infer(const double* x, int rows, double* out) const;
+
  private:
   Linear fc1_;
   Linear fc2_;
@@ -40,6 +51,10 @@ class LayerNorm : public Module {
   explicit LayerNorm(int dim);
 
   Tensor Forward(Tensor x);
+
+  /// Tape-free, in-place Forward over a rows x dim buffer; bit-identical
+  /// to Forward's value.
+  void Infer(double* x, int rows) const;
 
  private:
   Param* gamma_;
@@ -59,6 +74,7 @@ class Embedding : public Module {
   Tensor Forward(Tape& tape, const std::vector<int>& ids);
 
   Param& table() { return *table_; }
+  const Param& table() const { return *table_; }
 
  private:
   Param* table_;

@@ -1,6 +1,7 @@
 #include "nn/matrix.h"
 
 #include <atomic>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,6 +28,18 @@ void TrackAlloc(int64_t bytes) {
 void TrackFree(int64_t bytes) {
   if (bytes != 0) g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
 }
+
+// Two doubles: one SSE2 register. Vector-extension arithmetic is lane-wise
+// IEEE double, exactly the scalar operations.
+typedef double V2 __attribute__((vector_size(16)));
+
+inline V2 LoadV2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void StoreV2(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
 
 int64_t LogicalBytes(int rows, int cols) {
   return static_cast<int64_t>(rows) * cols *
@@ -174,6 +187,54 @@ void AddMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
       double acc = 0.0;
       for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
       orow[j] += acc;
+    }
+  }
+}
+
+void AddMatMulBlocked(const double* a, int lda, const double* b, int ldb,
+                      double* out, int ldo, int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const double* arow = a + static_cast<size_t>(i) * lda;
+    double* orow = out + static_cast<size_t>(i) * ldo;
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      V2 c0 = LoadV2(orow + j);
+      V2 c1 = LoadV2(orow + j + 2);
+      V2 c2 = LoadV2(orow + j + 4);
+      V2 c3 = LoadV2(orow + j + 6);
+      for (int p = 0; p < k; ++p) {
+        const double av = arow[p];
+        if (av == 0.0) continue;
+        const V2 a2 = {av, av};
+        const double* brow = b + static_cast<size_t>(p) * ldb + j;
+        c0 += a2 * LoadV2(brow);
+        c1 += a2 * LoadV2(brow + 2);
+        c2 += a2 * LoadV2(brow + 4);
+        c3 += a2 * LoadV2(brow + 6);
+      }
+      StoreV2(orow + j, c0);
+      StoreV2(orow + j + 2, c1);
+      StoreV2(orow + j + 4, c2);
+      StoreV2(orow + j + 6, c3);
+    }
+    for (; j + 2 <= n; j += 2) {
+      V2 c0 = LoadV2(orow + j);
+      for (int p = 0; p < k; ++p) {
+        const double av = arow[p];
+        if (av == 0.0) continue;
+        const V2 a2 = {av, av};
+        c0 += a2 * LoadV2(b + static_cast<size_t>(p) * ldb + j);
+      }
+      StoreV2(orow + j, c0);
+    }
+    if (j < n) {
+      double c0 = orow[j];
+      for (int p = 0; p < k; ++p) {
+        const double av = arow[p];
+        if (av == 0.0) continue;
+        c0 += av * b[static_cast<size_t>(p) * ldb + j];
+      }
+      orow[j] = c0;
     }
   }
 }

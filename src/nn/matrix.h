@@ -89,6 +89,19 @@ void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 /// out += a * b^T.
 void AddMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
 
+/// out += a * b on row-major buffers with leading dimensions lda/ldb/ldo
+/// (a is m x k, b is k x n, out is m x n; a column block of a wider
+/// matrix is addressed by offsetting the pointer and keeping its width as
+/// the leading dimension). The GEMM of the tape-free inference path: it
+/// keeps AddMatMul's per-element summation order (p ascending from out's
+/// current value) and its skip of zero a-elements, with no fused
+/// multiply-add, so its results are bit-identical to AddMatMul's. Columns
+/// run in blocks of 8 held in SSE2-width vector registers (x86-64's
+/// baseline ISA, so no -march flag is needed), with a 2-wide and a scalar
+/// tail.
+void AddMatMulBlocked(const double* a, int lda, const double* b, int ldb,
+                      double* out, int ldo, int m, int k, int n);
+
 }  // namespace nn
 }  // namespace trmma
 

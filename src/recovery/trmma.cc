@@ -6,6 +6,7 @@
 #include "common/deadline.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "nn/infer.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "nn/telemetry.h"
@@ -110,19 +111,6 @@ std::vector<double> NormalizedPrefix(const std::vector<double>& prefix) {
   return out;
 }
 
-/// Midpoint expected-time fraction of every route segment.
-std::vector<double> RouteMidFractions(const RoadNetwork& network,
-                                      const Route& route,
-                                      const std::vector<double>& prefix) {
-  std::vector<double> mid(route.size());
-  const double total = std::max(prefix.back(), 1e-9);
-  for (size_t k = 0; k < route.size(); ++k) {
-    const RoadSegment& seg = network.segment(route[k]);
-    mid[k] = (prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total;
-  }
-  return mid;
-}
-
 /// Analytic position-ratio prior for segment `k` at time fraction `tau`:
 /// where a uniform-expected-time traveller would sit on that segment.
 double ExpectedRatio(const RoadNetwork& network, const Route& route,
@@ -133,6 +121,28 @@ double ExpectedRatio(const RoadNetwork& network, const Route& route,
   const RoadSegment& seg = network.segment(route[k]);
   const double seg_time = std::max(seg.length_m / seg.speed_mps, 1e-9);
   return std::clamp((tau * total - prefix[k]) / seg_time, 0.0, 1.0);
+}
+
+/// Geometric features of the R branch (Eq. 12), one row per route segment:
+/// normalized length, cumulative-distance fraction, speed and
+/// cumulative-time fraction. They substitute for what the paper's W7
+/// embeddings learn from millions of trips (DESIGN.md §2).
+nn::Matrix RouteFeatures(const RoadNetwork& network, const Route& route) {
+  const double total_len = std::max(RouteLength(network, route), 1e-9);
+  const std::vector<double> time_prefix = RoutePrefix(network, route);
+  const double total_time = std::max(time_prefix.back(), 1e-9);
+  nn::Matrix rfeat(static_cast<int>(route.size()), 4);
+  double cum = 0.0;
+  for (size_t k = 0; k < route.size(); ++k) {
+    const RoadSegment& seg = network.segment(route[k]);
+    rfeat.at(k, 0) = seg.length_m / 500.0;
+    rfeat.at(k, 1) = (cum + 0.5 * seg.length_m) / total_len;
+    rfeat.at(k, 2) = seg.speed_mps / 30.0;
+    rfeat.at(k, 3) =
+        (time_prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total_time;
+    cum += seg.length_m;
+  }
+  return rfeat;
 }
 
 /// First index of `segment` in `route` at or after `from`; falls back to a
@@ -278,28 +288,12 @@ Tensor TrmmaRecovery::EncodeH(nn::Tape& tape, const Trajectory& sparse,
       seg_table_.Forward(tape, anchor_ids));
   Tensor t_mat = trans_t_.Forward(t0_fc_.Forward(t0));
 
-  // R branch (Eq. 12): id embedding plus geometric features (normalized
-  // length, cumulative-distance fraction, speed, cumulative-time fraction)
-  // -> FC -> Trans. The geometric features substitute for what the paper's
-  // W7 embeddings learn from millions of trips (DESIGN.md §2).
+  // R branch (Eq. 12): id embedding plus geometric features -> FC ->
+  // Trans.
   std::vector<int> route_ids(route.begin(), route.end());
-  const double total_len = std::max(RouteLength(network_, route), 1e-9);
-  const std::vector<double> time_prefix = RoutePrefix(network_, route);
-  const double total_time = std::max(time_prefix.back(), 1e-9);
-  nn::Matrix rfeat(static_cast<int>(route.size()), 4);
-  double cum = 0.0;
-  for (size_t k = 0; k < route.size(); ++k) {
-    const RoadSegment& seg = network_.segment(route[k]);
-    rfeat.at(k, 0) = seg.length_m / 500.0;
-    rfeat.at(k, 1) = (cum + 0.5 * seg.length_m) / total_len;
-    rfeat.at(k, 2) = seg.speed_mps / 30.0;
-    rfeat.at(k, 3) =
-        (time_prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total_time;
-    cum += seg.length_m;
-  }
   Tensor r1 = route_fc_.Forward(
       ops::ConcatCols(seg_table_.Forward(tape, route_ids),
-                      ops::Input(tape, std::move(rfeat))));
+                      ops::Input(tape, RouteFeatures(network_, route))));
   Tensor r_mat = trans_r_.Forward(r1);
 
   if (!config_.use_dualformer) return r_mat;  // TRMMA-DF ablation
@@ -307,6 +301,59 @@ Tensor TrmmaRecovery::EncodeH(nn::Tape& tape, const Trajectory& sparse,
   // Cross attention (Eq. 13-14): H = R + softmax(R T^T) T.
   Tensor beta = ops::SoftmaxRows(ops::MatMul(r_mat, ops::Transpose(t_mat)));
   return ops::Add(r_mat, ops::MatMul(beta, t_mat));
+}
+
+nn::Matrix TrmmaRecovery::InferH(const Trajectory& sparse,
+                                 const std::vector<MatchedPoint>& anchors,
+                                 const Route& route) const {
+  TRMMA_SPAN("trmma.encode");
+  const int dh = config_.dh;
+  const nn::Matrix& table = seg_table_.table().value;
+  // [features | id embedding] rows, the concatenations of EncodeH.
+  auto embedding_row = [&](SegmentId id, double* dst) {
+    TRMMA_CHECK_GE(id, 0);
+    TRMMA_CHECK_LT(id, table.rows());
+    std::copy(table.row(id), table.row(id) + dh, dst);
+  };
+
+  // T branch (Eq. 11).
+  const int n = sparse.size();
+  const nn::Matrix afeat = AnchorFeatures(network_, sparse, anchors);
+  nn::Matrix t0(n, 4 + dh);
+  for (int i = 0; i < n; ++i) {
+    std::copy(afeat.row(i), afeat.row(i) + 4, t0.row(i));
+    embedding_row(anchors[i].segment, t0.row(i) + 4);
+  }
+  nn::Matrix t_mat(n, dh);
+  t0_fc_.Infer(t0.data(), n, t_mat.data());
+  trans_t_.Infer(&t_mat);
+
+  // R branch (Eq. 12).
+  const int len = static_cast<int>(route.size());
+  const nn::Matrix rfeat = RouteFeatures(network_, route);
+  nn::Matrix r0(len, dh + 4);
+  for (int k = 0; k < len; ++k) {
+    embedding_row(route[k], r0.row(k));
+    std::copy(rfeat.row(k), rfeat.row(k) + 4, r0.row(k) + dh);
+  }
+  nn::Matrix h(len, dh);
+  route_fc_.Infer(r0.data(), len, h.data());
+  trans_r_.Infer(&h);
+
+  if (!config_.use_dualformer) return h;  // TRMMA-DF ablation
+
+  // Cross attention (Eq. 13-14): H = R + softmax(R T^T) T, in the scratch
+  // buffers the encoders are done with.
+  nn::InferScratch& s = nn::InferScratch::ForThread();
+  s.kt.resize(static_cast<size_t>(dh) * n);
+  nn::TransposeInto(t_mat.data(), dh, n, dh, s.kt.data());
+  double* beta = nn::Zeroed(s.scores, static_cast<size_t>(len) * n);
+  nn::AddMatMulBlocked(h.data(), dh, s.kt.data(), n, beta, n, len, dh, n);
+  nn::SoftmaxRowsInPlace(beta, len, n);
+  double* mix = nn::Zeroed(s.heads, static_cast<size_t>(len) * dh);
+  nn::AddMatMulBlocked(beta, n, t_mat.data(), dh, mix, dh, len, n, dh);
+  for (int i = 0; i < h.size(); ++i) h.data()[i] += mix[i];
+  return h;
 }
 
 void TrmmaRecovery::StepAndClassify(nn::Tape& tape, Tensor h_in, Tensor enc_h,
@@ -753,17 +800,18 @@ double SigmoidScalar(double x) {
   return e / (1.0 + e);
 }
 
+/// out += x * W for a row vector x (x.size() x w.cols()).
+void AddRowTimes(const double* x, const nn::Matrix& w, double* out) {
+  nn::AddMatMulBlocked(x, w.rows(), w.data(), w.cols(), out, w.cols(), 1,
+                       w.rows(), w.cols());
+}
+
 /// y = x * W + b for row vectors, written into out (resized).
 void AffineRow(const std::vector<double>& x, const nn::Matrix& w,
                const nn::Matrix& b, std::vector<double>* out) {
   const int n = w.cols();
   out->assign(n, 0.0);
-  for (int i = 0; i < w.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const double* wr = w.row(i);
-    for (int j = 0; j < n; ++j) (*out)[j] += xi * wr[j];
-  }
+  AddRowTimes(x.data(), w, out->data());
   for (int j = 0; j < n; ++j) (*out)[j] += b.at(0, j);
 }
 
@@ -814,16 +862,14 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   MatchedTrajectory out;
   const int route_len = static_cast<int>(route.size());
 
-  // Lines 5-6: DualFormer encoding (once, on the tape) + initial state.
-  nn::Tape tape;
-  const nn::Matrix enc = EncodeH(tape, sparse, anchors, route).value();
+  // Lines 5-6: DualFormer encoding (once, tape-free) + initial state.
+  const nn::Matrix enc = InferH(sparse, anchors, route);
   const int dh = config_.dh;
   std::vector<double> h(dh, 0.0);
   for (int k = 0; k < route_len; ++k) {
     for (int j = 0; j < dh; ++j) h[j] += enc.at(k, j);
   }
   for (int j = 0; j < dh; ++j) h[j] /= route_len;
-  tape.Clear();
 
   // Precompute the step-invariant classifier term: H * W8[0:dh] (the
   // classifier input layout is [H_k | h | align0..2]).
@@ -831,14 +877,8 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   const MlpView rat = ViewMlp(ratio_mlp_);
   const nn::Matrix& gamma = seg_table_.table().value;
   nn::Matrix cls_h_part(route_len, dh);
-  for (int k = 0; k < route_len; ++k) {
-    for (int d = 0; d < dh; ++d) {
-      const double v = enc.at(k, d);
-      if (v == 0.0) continue;
-      const double* wr = cls.w1->row(d);
-      for (int j = 0; j < dh; ++j) cls_h_part.at(k, j) += v * wr[j];
-    }
-  }
+  nn::AddMatMulBlocked(enc.data(), dh, cls.w1->data(), dh, cls_h_part.data(),
+                       dh, route_len, dh, dh);
 
   // GRU weight views (GruCell parameter order: wz,uz,bz,wr,ur,br,wh,uh,bh).
   auto gru_params = gru_.Parameters();
@@ -882,28 +922,15 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
     AffineRow(x, wr, br, &gr);
     AffineRow(x, wh, bh, &gh);
     // + h * U terms.
-    tmp.assign(dh, 0.0);
-    for (int i = 0; i < dh; ++i) {
-      const double hi = h[i];
-      if (hi == 0.0) continue;
-      const double* uzr = uz.row(i);
-      const double* urr = ur.row(i);
-      for (int j = 0; j < dh; ++j) {
-        gz[j] += hi * uzr[j];
-        gr[j] += hi * urr[j];
-      }
-    }
+    AddRowTimes(h.data(), uz, gz.data());
+    AddRowTimes(h.data(), ur, gr.data());
+    tmp.resize(dh);
     for (int j = 0; j < dh; ++j) {
       gz[j] = SigmoidScalar(gz[j]);
       gr[j] = SigmoidScalar(gr[j]);
       tmp[j] = gr[j] * h[j];  // r * h
     }
-    for (int i = 0; i < dh; ++i) {
-      const double ri = tmp[i];
-      if (ri == 0.0) continue;
-      const double* uhr = uh.row(i);
-      for (int j = 0; j < dh; ++j) gh[j] += ri * uhr[j];
-    }
+    AddRowTimes(tmp.data(), uh, gh.data());
     for (int j = 0; j < dh; ++j) {
       const double cand = std::tanh(gh[j]);
       h[j] = (1.0 - gz[j]) * h[j] + gz[j] * cand;
@@ -912,12 +939,8 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   auto classify = [&](double tau, double prev_frac, double expected_frac) {
     // u = h * W8[dh:2dh] + b8 (the h-dependent classifier part).
     u_part.assign(dh, 0.0);
-    for (int i = 0; i < dh; ++i) {
-      const double hi = h[i];
-      if (hi == 0.0) continue;
-      const double* wr1 = cls.w1->row(dh + i);
-      for (int j = 0; j < dh; ++j) u_part[j] += hi * wr1[j];
-    }
+    nn::AddMatMulBlocked(h.data(), dh, cls.w1->row(dh), dh, u_part.data(), dh,
+                         1, dh, dh);
     for (int j = 0; j < dh; ++j) u_part[j] += cls.b1->at(0, j);
     const double* a0w = cls.w1->row(2 * dh);
     const double* a1w = cls.w1->row(2 * dh + 1);
@@ -953,11 +976,9 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
     }
     std::vector<double> in(2 * dh + 1, 0.0);
     for (int j = 0; j < dh; ++j) in[j] = h[j];
-    for (int k = 0; k < route_len; ++k) {
-      const double psi = tmp[k] / sum;
-      if (psi == 0.0) continue;
-      for (int j = 0; j < dh; ++j) in[dh + j] += psi * enc.at(k, j);
-    }
+    for (int k = 0; k < route_len; ++k) tmp[k] /= sum;  // psi
+    nn::AddMatMulBlocked(tmp.data(), route_len, enc.data(), dh, in.data() + dh,
+                         dh, 1, route_len, dh);
     in[2 * dh] = expected_ratio;
     AffineRow(in, *rat.w1, *rat.b1, &gh);
     double acc = rat.b2->at(0, 0);

@@ -58,8 +58,8 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   /// average per-point loss.
   double TrainEpoch(const Dataset& dataset, Rng& rng);
 
-  /// Fast inference (Algorithm 2): the DualFormer encoding runs once on
-  /// the autograd tape; the sequential decode then runs tape-free with the
+  /// Fast inference (Algorithm 2): the DualFormer encoding runs once,
+  /// tape-free (InferH); the sequential decode then runs tape-free with the
   /// step-invariant part of the classifier (H * W8_top) precomputed per
   /// trajectory — the engineering behind the paper's inference-speed
   /// claim.
@@ -102,18 +102,26 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
 
   const TrmmaConfig& config() const { return config_; }
 
+  /// DualFormer encoding H (Eq. 11-14) for a (sparse points, matched
+  /// anchors, route) triple, on the autograd tape: the training path and
+  /// the oracle of InferH.
+  nn::Tensor EncodeH(nn::Tape& tape, const Trajectory& sparse,
+                     const std::vector<MatchedPoint>& anchors,
+                     const Route& route);
+
+  /// Tape-free twin of EncodeH, used by the fast decode: bit-identical to
+  /// EncodeH's value. Const, with activations in the calling thread's
+  /// nn::InferScratch.
+  nn::Matrix InferH(const Trajectory& sparse,
+                    const std::vector<MatchedPoint>& anchors,
+                    const Route& route) const;
+
   /// Persists / restores all trainable parameters. The loading model must
   /// be constructed with the same config and network.
   Status Save(const std::string& path);
   Status Load(const std::string& path);
 
  private:
-  /// DualFormer encoding H (Eq. 11-14) for a (sparse points, matched
-  /// anchors, route) triple.
-  nn::Tensor EncodeH(nn::Tape& tape, const Trajectory& sparse,
-                     const std::vector<MatchedPoint>& anchors,
-                     const Route& route);
-
   /// Advances the GRU with the previous point and emits classification
   /// logits over the route (Eq. 15). `seg_time_frac` holds each route
   /// segment's midpoint expected-time fraction; the classifier receives,

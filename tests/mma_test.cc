@@ -97,6 +97,37 @@ TEST_F(MmaFixture, ScoresAreProbabilities) {
   }
 }
 
+TEST_F(MmaFixture, InferFedLogitsEqualTapedLogitsBitwise) {
+  // MatchPoints feeds the candidate head from the tape-free point encoder;
+  // its logits, and so its argmax segments, must equal the fully taped
+  // forward pass bit for bit.
+  MmaMatcher mma(*dataset_->network, *index_, SmallConfig());
+  Rng rng(4);
+  mma.TrainEpoch(*dataset_, rng);
+  ASSERT_GE(dataset_->test_idx.size(), 12u);
+  for (int t = 0; t < 12; ++t) {
+    const Trajectory& traj = dataset_->samples[dataset_->test_idx[t]].sparse;
+    const std::vector<nn::Matrix> want = mma.CandidateLogits(traj, true);
+    const std::vector<nn::Matrix> got = mma.CandidateLogits(traj, false);
+    ASSERT_EQ(got.size(), static_cast<size_t>(traj.size()));
+    ASSERT_EQ(got.size(), want.size());
+    const auto candidates =
+        ComputeCandidates(*dataset_->network, *index_, traj, mma.config().kc);
+    const std::vector<SegmentId> matched = mma.MatchPoints(traj);
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].SameShape(want[i]));
+      int best = 0;
+      for (int j = 0; j < got[i].rows(); ++j) {
+        ASSERT_EQ(got[i].at(j, 0), want[i].at(j, 0))
+            << "sample " << t << " point " << i << " candidate " << j;
+        if (want[i].at(j, 0) > want[i].at(best, 0)) best = j;
+      }
+      EXPECT_EQ(matched[i], candidates[i][best].segment)
+          << "sample " << t << " point " << i;
+    }
+  }
+}
+
 TEST_F(MmaFixture, PretrainedEmbeddingsLoadable) {
   MmaConfig config = SmallConfig();
   MmaMatcher mma(*dataset_->network, *index_, config);

@@ -126,6 +126,44 @@ TEST(MatrixTest, AddMatMulTransB) {
   }
 }
 
+TEST(MatrixTest, AddMatMulBlockedEqualsAddMatMulBitwise) {
+  // Widths around the 8-column block and its 2-wide and scalar tails, an
+  // accumulating (non-zero) output, exact zeros in `a` (the zero skip) and
+  // a column block of wider matrices addressed through leading dimensions.
+  Rng rng(17);
+  for (int n : {1, 2, 3, 7, 8, 9, 16, 19}) {
+    for (int k : {1, 5, 32}) {
+      const int m = 4;
+      Matrix a = RandomMatrix(m, k + 3, rng);
+      for (int i = 0; i < a.size(); i += 3) a.data()[i] = 0.0;
+      Matrix b = RandomMatrix(k, n + 2, rng);
+      Matrix init = RandomMatrix(m, n + 1, rng);
+      // Reference on dense copies of the blocks a[:, 1:1+k], b[:, 2:2+n].
+      Matrix a_blk(m, k);
+      Matrix b_blk(k, n);
+      Matrix want(m, n);
+      for (int i = 0; i < m; ++i) {
+        for (int p = 0; p < k; ++p) a_blk.at(i, p) = a.at(i, 1 + p);
+        for (int j = 0; j < n; ++j) want.at(i, j) = init.at(i, j);
+      }
+      for (int p = 0; p < k; ++p) {
+        for (int j = 0; j < n; ++j) b_blk.at(p, j) = b.at(p, 2 + j);
+      }
+      AddMatMul(a_blk, b_blk, &want);
+      Matrix got = init;
+      AddMatMulBlocked(a.data() + 1, a.cols(), b.data() + 2, b.cols(),
+                       got.data(), got.cols(), m, k, n);
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) {
+          EXPECT_EQ(got.at(i, j), want.at(i, j))
+              << "n=" << n << " k=" << k << " (" << i << "," << j << ")";
+        }
+        EXPECT_EQ(got.at(i, n), init.at(i, n)) << "wrote past column n";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nn
 }  // namespace trmma

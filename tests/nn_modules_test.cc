@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <thread>
 
 #include "common/random.h"
 #include "nn/attention.h"
@@ -110,6 +112,63 @@ TEST(TransformerTest, PositionalEncodingValues) {
   EXPECT_NEAR(pe.at(1, 0), std::sin(1.0), 1e-12);
   // Position matters: different rows differ.
   EXPECT_NE(pe.at(1, 0), pe.at(2, 0));
+}
+
+TEST(TransformerTest, InferEqualsTapedForwardBitwise) {
+  // The tape-free encoder must reproduce the taped oracle exactly. Dims
+  // 6/3/10 are no multiple of the kernel's 8-column block, so its tails
+  // run; 32/2/64 is the shape MMA and TRMMA use.
+  struct Shape {
+    int dim, heads, ffn, layers;
+  };
+  for (const Shape& shape : {Shape{6, 2, 10, 2}, Shape{32, 2, 64, 2}}) {
+    Rng rng(31);
+    TransformerEncoder enc(shape.dim, shape.heads, shape.ffn, shape.layers,
+                           rng);
+    for (int len : {1, 2, 7, 64}) {
+      Matrix x = RandomInput(len, shape.dim, 32 + len);
+      x.at(0, 0) = 0.0;  // exercise the zero skip on the first GEMM
+      Tape tape;
+      const Matrix want = enc.Forward(ops::Input(tape, x)).value();
+      Matrix got = x;
+      enc.Infer(&got);
+      ASSERT_TRUE(got.SameShape(want));
+      for (int i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i])
+            << "dim " << shape.dim << " len " << len << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(TransformerTest, PositionalEncodingCacheEqualsFreshValuesOnEveryThread) {
+  // The per-thread cache grows row by row and keys on the width; every
+  // value must equal the closed form computed afresh, on any thread.
+  auto check = [](int len, int dim) {
+    const double* rows = PositionalEncodingRows(len, dim);
+    for (int pos = 0; pos < len; ++pos) {
+      for (int i = 0; i < dim; ++i) {
+        const int even = i - i % 2;
+        const double freq =
+            std::pow(10000.0, -static_cast<double>(even) / dim);
+        const double want =
+            i % 2 == 0 ? std::sin(pos * freq) : std::cos(pos * freq);
+        ASSERT_EQ(rows[pos * dim + i], want) << pos << "," << i;
+      }
+    }
+  };
+  auto sequence = [&] {
+    check(3, 6);
+    check(10, 6);  // grows the width-6 table
+    check(5, 7);   // odd width, its own table
+    check(2, 6);
+  };
+  sequence();
+  std::thread other(sequence);
+  other.join();
+  const Matrix pe = SinusoidalPositionalEncoding(10, 6);
+  EXPECT_EQ(0, std::memcmp(pe.data(), PositionalEncodingRows(10, 6),
+                           sizeof(double) * pe.size()));
 }
 
 TEST(TransformerTest, OrderSensitivity) {

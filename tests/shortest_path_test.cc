@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "graph/shortest_path.h"
 #include "graph/transition_stats.h"
 #include "tests/test_util.h"
+#include "traj/dataset.h"
 
 namespace trmma {
 namespace {
@@ -315,6 +319,145 @@ TEST(RoutingScratchTest, SharedEngineAndPlannerServeFourThreads) {
                      "thread " + std::to_string(t) + " #" + std::to_string(i));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// DaRoutePlanner's precomputed step costs against the per-relaxation
+// hash-and-log formulation they replace
+
+/// Transition counts in per-segment hash maps, with the planner cost
+/// recomputed from them on every edge relaxation.
+class HashLogPlanner {
+ public:
+  explicit HashLogPlanner(const RoadNetwork& network)
+      : network_(network), counts_(network.num_segments()),
+        totals_(network.num_segments(), 0) {}
+
+  void AddRoute(const Route& route) {
+    for (size_t i = 0; i + 1 < route.size(); ++i) {
+      if (route[i] == route[i + 1]) continue;
+      ++counts_[route[i]][route[i + 1]];
+      ++totals_[route[i]];
+    }
+  }
+
+  int Count(SegmentId from, SegmentId to) const {
+    auto it = counts_[from].find(to);
+    return it == counts_[from].end() ? 0 : it->second;
+  }
+
+  int TotalFrom(SegmentId from) const { return totals_[from]; }
+
+  double Probability(SegmentId from, SegmentId to) const {
+    const int fanout = static_cast<int>(network_.NextSegments(from).size());
+    if (fanout == 0) return 0.0;
+    return (Count(from, to) + 1.0) / (totals_[from] + fanout);
+  }
+
+  PathResult Plan(SegmentId from, SegmentId to, double max_cost) const {
+    PathResult result;
+    if (from == to) {
+      result.found = true;
+      result.segments = {from};
+      return result;
+    }
+    const double inf = ShortestPathEngine::kInfinity;
+    std::vector<double> dist(network_.num_segments(), inf);
+    std::vector<SegmentId> via(network_.num_segments(), kInvalidSegment);
+    using QueueItem = std::pair<double, SegmentId>;
+    std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
+        queue;
+    dist[from] = 0.0;
+    queue.push({0.0, from});
+    while (!queue.empty()) {
+      const auto [c, e] = queue.top();
+      queue.pop();
+      if (c > dist[e]) continue;
+      if (e == to) break;
+      if (c > max_cost) break;
+      for (SegmentId next : network_.NextSegments(e)) {
+        if (next == e) continue;
+        const double nll = -std::log(Probability(e, next));
+        const double step =
+            network_.segment(next).length_m * (1.0 + 0.25 * nll);
+        const double nc = c + step;
+        if (nc < dist[next] && nc <= max_cost) {
+          dist[next] = nc;
+          via[next] = e;
+          queue.push({nc, next});
+        }
+      }
+    }
+    if (dist[to] == inf) return result;
+    result.found = true;
+    result.distance_m = dist[to];
+    for (SegmentId at = to; at != kInvalidSegment; at = via[at]) {
+      result.segments.push_back(at);
+    }
+    std::reverse(result.segments.begin(), result.segments.end());
+    return result;
+  }
+
+ private:
+  const RoadNetwork& network_;
+  std::vector<std::unordered_map<SegmentId, int>> counts_;
+  std::vector<int> totals_;
+};
+
+TEST(DaRoutePlannerCostTest, PlansEqualHashAndLogReferenceAcrossAddRoute) {
+  const Dataset dataset = test::MakeTinyDataset("XA", 200);
+  const RoadNetwork& net = *dataset.network;
+  TransitionStats stats(net);
+  HashLogPlanner reference(net);
+  auto add = [&](const Route& route) {
+    stats.AddRoute(route);
+    reference.AddRoute(route);
+  };
+  for (int idx : dataset.train_idx) add(dataset.samples[idx].route);
+  // One planner for the whole test: costs cached when it was built would
+  // go stale after the AddRoute calls below.
+  const DaRoutePlanner planner(net, stats);
+  Rng rng(9);
+  std::vector<std::pair<SegmentId, SegmentId>> pairs;
+  for (int i = 0; i < 80; ++i) {
+    pairs.emplace_back(rng.UniformInt(net.num_segments()),
+                       rng.UniformInt(net.num_segments()));
+  }
+  auto expect_same = [&](const std::string& phase) {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const double budget = i % 3 == 2 ? 800.0 : 3.0e4;
+      ExpectSamePath(planner.Plan(pairs[i].first, pairs[i].second, budget),
+                     reference.Plan(pairs[i].first, pairs[i].second, budget),
+                     phase + " pair " + std::to_string(i));
+    }
+    for (SegmentId e = 0; e < net.num_segments(); ++e) {
+      ASSERT_EQ(stats.TotalFrom(e), reference.TotalFrom(e)) << phase;
+      for (SegmentId next : net.NextSegments(e)) {
+        ASSERT_EQ(stats.Count(e, next), reference.Count(e, next)) << phase;
+        ASSERT_EQ(stats.Probability(e, next), reference.Probability(e, next))
+            << phase;
+      }
+    }
+  };
+  expect_same("trained");
+
+  // More history on the same statistics: the test routes, one route taught
+  // many times (shifts its rows' probabilities well away from the
+  // trained ones) and a pair that is not physically connected.
+  for (int idx : dataset.test_idx) add(dataset.samples[idx].route);
+  const Route& taught = dataset.samples[dataset.test_idx[0]].route;
+  for (int i = 0; i < 30; ++i) add(taught);
+  SegmentId a = 0;
+  SegmentId b = 1;
+  while (b < net.num_segments() && (net.segment(a).to == net.segment(b).from ||
+                                    a == b)) {
+    ++b;
+  }
+  ASSERT_LT(b, net.num_segments());
+  add({a, b});
+  EXPECT_EQ(stats.Count(a, b), 1);
+  EXPECT_EQ(stats.Count(a, b), reference.Count(a, b));
+  expect_same("after more AddRoute");
 }
 
 }  // namespace

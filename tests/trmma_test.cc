@@ -218,6 +218,36 @@ TEST_F(TrmmaFixture, FastDecodeMatchesReference) {
   }
 }
 
+TEST_F(TrmmaFixture, FastEncodeMatchesReference) {
+  // The tape-free DualFormer encoding (the fast decode's input) must equal
+  // the taped EncodeH bit for bit, with and without the cross attention.
+  for (bool dualformer : {true, false}) {
+    TrmmaConfig config = SmallConfig();
+    config.use_dualformer = dualformer;
+    TrmmaRecovery trmma(*dataset_->network, mma_, planner_, engine_, config);
+    Rng rng(56);
+    trmma.TrainEpoch(*dataset_, rng);
+    ASSERT_GE(dataset_->test_idx.size(), 10u);
+    for (int t = 0; t < 10; ++t) {
+      const TrajectorySample& sample =
+          dataset_->samples[dataset_->test_idx[t]];
+      std::vector<MatchedPoint> anchors;
+      for (int si : sample.sparse_indices) anchors.push_back(sample.truth[si]);
+      nn::Tape tape;
+      const nn::Matrix want =
+          trmma.EncodeH(tape, sample.sparse, anchors, sample.route).value();
+      const nn::Matrix got =
+          trmma.InferH(sample.sparse, anchors, sample.route);
+      ASSERT_TRUE(got.SameShape(want));
+      for (int i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i])
+            << "dualformer " << dualformer << " sample " << t << " element "
+            << i;
+      }
+    }
+  }
+}
+
 TEST_F(TrmmaFixture, CheckpointRoundTrip) {
   TrmmaRecovery trained(*dataset_->network, mma_, planner_, engine_,
                         SmallConfig());
